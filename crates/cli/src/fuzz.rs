@@ -5,12 +5,12 @@
 //! (no CFG invariants), pushes it through canonicalize → cycle-equiv → PST
 //! → control-regions → φ-placement, and re-derives every stage with the
 //! independent checkers from `pst-verify`. A panic anywhere in the pipeline
-//! is contained with `catch_unwind` and reported as data; any violation or
+//! is contained with `pst_obs::contain::contain` (`catch_unwind` behind
+//! the one process-wide panic hook) and reported as data; any violation or
 //! contained panic is greedily minimized (edges first, then unused nodes)
 //! and the reproducer edge list is written to `<out-dir>/<seed>.edges`,
 //! re-runnable with `pst --canonicalize <file>`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use pst_cfg::{canonicalize, CanonicalizeOptions, Graph, NodeId};
@@ -143,7 +143,7 @@ impl Input {
 /// Runs the full pipeline on one raw digraph with every checker enabled,
 /// containing panics. Never panics itself.
 fn run_one(graph: &Graph, entry: NodeId, inject: InjectSpec, fault_seed: u64) -> Outcome {
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    pst_obs::contain::contain(|| {
         // Fold this unit's counters into the global aggregate even if it
         // panics: the tally recorded before the crash is data, not noise.
         let _fold = pst_obs::fold_on_drop();
@@ -182,22 +182,8 @@ fn run_one(graph: &Graph, entry: NodeId, inject: InjectSpec, fault_seed: u64) ->
         } else {
             Outcome::Violation(report.to_string())
         }
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(payload) => Outcome::Panic(panic_message(payload)),
-    }
-}
-
-/// Best-effort extraction of the panic payload message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    })
+    .unwrap_or_else(Outcome::Panic)
 }
 
 /// Greedy minimization: repeatedly try dropping one edge at a time (the
@@ -310,11 +296,6 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
         None => None,
     };
 
-    // Panics are contained and reported as data; silence the default hook's
-    // stderr backtrace chatter for the duration of the loop.
-    let previous_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
     let start = Instant::now();
     let mut ran = 0u64;
     let mut rejected = 0u64;
@@ -391,8 +372,6 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
             }
         }
     }
-    std::panic::set_hook(previous_hook);
-
     println!(
         "fuzz: {ran} inputs (seeds {}..{}{}), {rejected} rejected by canonicalization, \
          {exhausted} oracle-budget-exhausted, {violations} violations, {panics} contained panics",

@@ -915,6 +915,62 @@ fn serve_journals_one_unit_summary_per_request() {
     assert_eq!(units[0].0, units[1].0, "same unit+method, same scope name");
 }
 
+#[test]
+fn serve_metrics_stay_bounded_over_many_distinct_units() {
+    // Distinct sources once each left a `serve:<unit>#<method>` entry in
+    // the metrics report's `units`, never evicted, so a long-running
+    // daemon's report (and memory) grew with every new source even
+    // under a tiny cache. Units are journaled per request instead.
+    let dir = bench_dir("serve_many_units");
+    let metrics_path = dir.join("m.json");
+    let mut input = String::new();
+    for i in 0..300 {
+        let line = pst_obs::json::Json::obj([
+            ("id", pst_obs::json::Json::UInt(i)),
+            ("method", pst_obs::json::Json::Str("pst".into())),
+            (
+                "source",
+                pst_obs::json::Json::Str(format!("fn f{i}(n) {{ return n; }}")),
+            ),
+        ]);
+        input.push_str(&line.to_string());
+        input.push('\n');
+    }
+    let (out, err, code) = run(
+        &[
+            "serve",
+            "--cache-entries",
+            "8",
+            "--metrics-json",
+            metrics_path.to_str().unwrap(),
+        ],
+        Some(&input),
+    );
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(
+        out.lines().filter(|l| l.contains("\"ok\":true")).count(),
+        300
+    );
+    let text = std::fs::read_to_string(&metrics_path).expect("metrics written");
+    let metrics = pst_obs::json::Json::parse(&text).expect("metrics parse");
+    if let Some(pst_obs::json::Json::Obj(units)) = metrics.get("units") {
+        assert!(
+            units.iter().all(|(name, _)| !name.starts_with("serve:")),
+            "serve units leaked into the metrics report"
+        );
+    }
+    assert_eq!(
+        metrics
+            .get("counters")
+            .and_then(|c| c.get("serve_requests"))
+            .and_then(|v| v.as_u64()),
+        Some(300)
+    );
+    // A few KB of counters, spans and histogram buckets, whatever the
+    // number of distinct units (one sub-report per unit was ~1 KB).
+    assert!(text.len() < 16 * 1024, "metrics JSON is {} bytes", text.len());
+}
+
 #[cfg(feature = "fault-inject")]
 #[test]
 fn serve_contains_injected_panics_and_keeps_serving() {

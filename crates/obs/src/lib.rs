@@ -26,6 +26,9 @@
 //! 5. **A hand-rolled JSON emitter** — [`json::Json`] serializes span
 //!    trees, counters, and `PstStats` without serde (the build
 //!    environment is offline).
+//! 6. **Panic containment** — [`contain::contain`] runs one unit of work
+//!    under `catch_unwind` behind a single process-wide panic hook that
+//!    stays silent only for the thread inside the contained unit.
 //!
 //! # Feature gating
 //!
@@ -55,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod contain;
 pub mod hist;
 pub mod journal;
 pub mod json;

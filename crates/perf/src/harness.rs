@@ -35,7 +35,7 @@ use pst_lang::{
     lower_program, parse_program, pretty_function, LoweredFunction, VarId,
 };
 use pst_obs::json::Json;
-use pst_serve::{ServeConfig, Session, SharedSession};
+use pst_serve::{ServeConfig, SharedSession};
 use pst_ssa::{place_phis_pst_unchecked, rename};
 use pst_workloads::{
     generate_function, irreducible_mesh, random_cfg, random_digraph, DigraphConfig,
@@ -533,8 +533,18 @@ fn prepare_serve_mix(units: usize, seed: u64) -> Result<(Vec<String>, u64, u64),
     Ok((lines, nodes, edges))
 }
 
+/// A fresh single-worker daemon front end, as `pst serve` runs over
+/// stdio: the serve workloads measure the path users actually hit
+/// (request parse, dispatch, shard lock, per-request record, reply).
+fn stdio_daemon() -> SharedSession {
+    SharedSession::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+}
+
 /// Measures the `pst serve` request path with an in-process daemon:
-/// per timed iteration, a fresh session answers the whole request mix
+/// per timed iteration, a fresh daemon answers the whole request mix
 /// twice — the cold batch registers every unit (cache misses, full
 /// pipeline), the hot batch repeats the identical requests (memo hits).
 /// `serve_cold` / `serve_hot` become ordinary gated phases, and the
@@ -550,7 +560,7 @@ fn run_serve_workload(
     // One validation pass: every reply in the mix must be ok (a broken
     // request means a broken workload, caught before any timing).
     {
-        let mut session = Session::new(ServeConfig::default());
+        let session = stdio_daemon();
         for line in &lines {
             let reply = session.handle_line(line);
             let ok = Json::parse(&reply.line)
@@ -566,16 +576,16 @@ fn run_serve_workload(
         }
     }
 
-    let drive = |session: &mut Session| {
+    let drive = |session: &SharedSession| {
         for line in &lines {
             black_box(session.handle_line(line));
         }
     };
 
     for _ in 0..config.warmup {
-        let mut session = Session::new(ServeConfig::default());
-        drive(&mut session);
-        drive(&mut session);
+        let session = stdio_daemon();
+        drive(&session);
+        drive(&session);
     }
 
     let iters = config.iters.max(1);
@@ -583,12 +593,12 @@ fn run_serve_workload(
     let mut hot_samples = Vec::with_capacity(iters as usize);
     let mut totals = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
-        let mut session = Session::new(ServeConfig::default());
+        let session = stdio_daemon();
         let start = Instant::now();
-        drive(&mut session);
+        drive(&session);
         let cold = start.elapsed().as_nanos() as u64;
         let start = Instant::now();
-        drive(&mut session);
+        drive(&session);
         let hot = start.elapsed().as_nanos() as u64;
         pst_obs::histogram!("phase_nanos_serve_cold", cold);
         pst_obs::histogram!("phase_nanos_serve_hot", hot);
@@ -604,9 +614,9 @@ fn run_serve_workload(
     let mut asink = AllocSink::default();
     alloc::reset_peak();
     let before = alloc::snapshot();
-    let mut session = Session::new(ServeConfig::default());
-    asink.phase("serve_cold", || drive(&mut session));
-    asink.phase("serve_hot", || drive(&mut session));
+    let session = stdio_daemon();
+    asink.phase("serve_cold", || drive(&session));
+    asink.phase("serve_hot", || drive(&session));
     let after = alloc::snapshot();
     let outer = alloc::delta(&before, &after);
     drop(session);

@@ -27,9 +27,13 @@
 //! - [`hash`] — SplitMix64 content hashing for unit ids
 //! - [`proto`] — request/response envelopes and error codes
 //! - [`cache`] — the budgeted LRU unit cache
-//! - [`session`] — artifact interning, dispatch, panic containment
-//! - [`shared`] — sharded concurrent front-end: admission, drain,
-//!   snapshot lifecycle, aggregated stats
+//! - `session` — one cache shard: unit registration, artifact interning,
+//!   memoized compute, panic containment and quarantine (internal;
+//!   driven by [`shared`])
+//! - [`shared`] — the front end and only request dispatcher: control
+//!   methods, admission, drain, shard routing, snapshot lifecycle,
+//!   aggregated stats, and the per-request record every telemetry sink
+//!   is fed from
 //! - [`metrics`] — live telemetry: windowed per-method/per-shard
 //!   series, the slow-request ring, Prometheus-style text exposition
 //! - `snapshot` — versioned, checksummed, atomically-written cache
@@ -38,12 +42,14 @@
 //!
 //! Telemetry: `serve_*` counters (requests, errors, panics, cache
 //! hit/miss/eviction/quarantine, stage hit/miss, shed, conn_errors,
-//! deadline_exceeded, snapshot saves/restores), `serve_request_nanos`
-//! plus cold/hot latency histograms, a `UnitScope` per request, and —
-//! when a journal is installed — one `unit_summary` event per request
-//! plus `slow_request` events past the `--slowlog-ms` threshold. The
-//! `metrics` and `slowlog` methods (and the `--metrics-listen` HTTP
-//! responder) expose the live windowed view; see [`metrics`].
+//! deadline_exceeded, snapshot saves/restores). Each analysis request
+//! fills one [`RequestOutcome`] that feeds `serve_request_nanos` plus
+//! the cold/hot latency histograms, the `stats` lifetime quantiles, the
+//! live windowed series and slowlog, and — when a journal is installed —
+//! one `unit_summary` event per request plus `slow_request` events past
+//! the `--slowlog-ms` threshold. The `metrics` and `slowlog` methods
+//! (and the `--metrics-listen` HTTP responder) expose the live windowed
+//! view; see [`metrics`].
 
 // The daemon's request path must never panic on user input; unwrap and
 // expect are banned outside test modules (each test module opts back in
@@ -55,7 +61,7 @@ pub mod hash;
 pub mod metrics;
 pub mod proto;
 pub mod server;
-pub mod session;
+mod session;
 pub mod shared;
 mod snapshot;
 
@@ -63,5 +69,5 @@ pub use cache::{CacheConfig, CacheStats, LruCache};
 pub use metrics::{LiveMetrics, RequestOutcome};
 pub use proto::{ErrorCode, Method, Request, RequestInput};
 pub use server::{serve_listener, serve_stdio, serve_stream, serve_tcp};
-pub use session::{Reply, ServeConfig, ServeFault, Session};
-pub use shared::SharedSession;
+pub use session::{ServeConfig, ServeFault};
+pub use shared::{Reply, SharedSession};

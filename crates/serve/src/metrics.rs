@@ -24,10 +24,11 @@ use std::time::Instant;
 use pst_obs::json::Json;
 use pst_obs::{Histogram, RollingCounter, WindowedHistogram};
 
-/// What one finished analysis request looked like, as recorded by the
-/// session and attached to its [`crate::session::Reply`]. This is the
-/// only thing the live-metrics layer ever sees — it never re-parses
-/// response JSON.
+/// The per-request record: what one finished analysis request looked
+/// like. The front end ([`crate::shared::SharedSession`]) fills it once
+/// per request and folds it into every telemetry sink; this is the only
+/// thing the live-metrics layer ever sees — it never re-parses response
+/// JSON.
 #[derive(Clone, Debug)]
 pub struct RequestOutcome {
     /// Wire name of the method (`"pst"`, `"lint"`, ...).

@@ -34,7 +34,7 @@ use std::time::Duration;
 use pst_obs::json::Json;
 
 use crate::proto::overloaded_response;
-use crate::session::{Reply, ServeConfig};
+use crate::session::ServeConfig;
 use crate::shared::SharedSession;
 
 /// How often a blocked worker re-checks lifecycle flags.
@@ -130,21 +130,6 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
-fn reply_for(shared: &SharedSession, line: Line) -> Option<Reply> {
-    match line {
-        Line::Eof => None,
-        Line::Text(text) if text.trim().is_empty() => Some(Reply {
-            line: String::new(),
-            shutdown: false,
-            drop_conn: false,
-            outcome: None,
-        }),
-        Line::Text(text) => Some(shared.handle_line(&text)),
-        Line::Oversized(actual) => Some(shared.oversized_reply(actual)),
-        Line::InvalidUtf8(offset) => Some(shared.invalid_utf8_reply(offset)),
-    }
-}
-
 /// Serves one request stream to completion against the shared session.
 /// Returns `true` when a `shutdown`/`drain` acknowledged on *this*
 /// stream ended it, `false` on EOF/disconnect (or when a drain from
@@ -164,12 +149,13 @@ pub fn serve_stream<R: BufRead, W: Write>(
             None if shared.is_draining() => return Ok(false),
             None => continue,
         };
-        let Some(reply) = reply_for(shared, line) else {
-            return Ok(false); // EOF
+        let reply = match line {
+            Line::Eof => return Ok(false),
+            Line::Text(text) if text.trim().is_empty() => continue,
+            Line::Text(text) => shared.handle_line(&text),
+            Line::Oversized(actual) => shared.oversized_reply(actual),
+            Line::InvalidUtf8(offset) => shared.invalid_utf8_reply(offset),
         };
-        if reply.line.is_empty() {
-            continue; // blank input line
-        }
         if reply.drop_conn {
             // Injected drop-conn fault: vanish without replying. The
             // client sees an abrupt disconnect and is expected to retry.

@@ -1,5 +1,4 @@
-//! Session state: the content-hash unit cache plus the request
-//! dispatcher.
+//! One cache shard: the content-hash unit cache and the compute core.
 //!
 //! A *unit* is one registered input — mini-language source or a raw
 //! edge-list digraph — keyed by [`crate::hash::content_hash`] over its
@@ -10,18 +9,18 @@
 //! each method's final result JSON is memoized, so a repeat query is a
 //! clone, not a recompute.
 //!
-//! Every request is fault-isolated with `catch_unwind` (the same
-//! containment the fuzz loop uses): a panicking request produces a
-//! structured `panic` error envelope, the touched unit is evicted from
-//! the cache (its artifacts are suspect), and the daemon keeps serving.
+//! Every analysis is fault-isolated with [`pst_obs::contain::contain`]
+//! (the same containment the fuzz loop uses): a panicking request
+//! becomes a `panic` error, the touched unit is evicted from the cache
+//! (its artifacts are suspect), and the daemon keeps serving.
 //!
-//! Telemetry reuses the v2 plumbing: `serve_*` counters for cache
-//! traffic, latency histograms split cold/hot, a `UnitScope` per request
-//! (so `--metrics-json` carries per-unit sub-reports), and — when a
-//! journal is installed — one `unit_summary` event per request.
+//! A shard has no wire dispatch: the front end in [`crate::shared`]
+//! parses requests, answers control methods, builds every reply, and
+//! folds each request's record into the telemetry sinks. A shard counts
+//! only its own cache traffic (`serve_cache_*`, `serve_stage_*`) and
+//! contained panics.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pst_cfg::{canonicalize, parse_edge_list_graph, CanonicalizeOptions, Canonicalized, Graph, NodeId};
 use pst_core::{collapse_all, ControlRegions, ProgramStructureTree, PstStats};
@@ -32,7 +31,7 @@ use pst_ssa::{place_phis_pst, rename};
 
 use crate::cache::{CacheConfig, LruCache};
 use crate::hash::{content_hash, unit_hex};
-use crate::proto::{error_response, ok_response, ErrorCode, Method, Request, RequestInput};
+use crate::proto::{ErrorCode, Method, Request, RequestInput};
 
 /// Domain tags for [`content_hash`]: the same bytes registered as mini
 /// source and as an edge list are different units. Snapshots persist
@@ -150,34 +149,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// One response line plus transport directives for the serving loop.
-#[derive(Clone, Debug)]
-pub struct Reply {
-    /// The serialized JSON envelope (no trailing newline).
-    pub line: String,
-    /// True after a `shutdown` or `drain` request was acknowledged —
-    /// the stream stops reading after writing this reply.
-    pub shutdown: bool,
-    /// True when an injected `drop-conn` fault fired: the serving loop
-    /// must close the connection *without* writing the line (the client
-    /// sees an abrupt disconnect and is expected to retry).
-    pub drop_conn: bool,
-    /// What the analysis request looked like, for the live-metrics
-    /// layer. `None` for control methods and pre-dispatch failures.
-    pub outcome: Option<crate::metrics::RequestOutcome>,
-}
-
-impl Reply {
-    fn of(envelope: Json) -> Reply {
-        Reply {
-            line: envelope.to_string(),
-            shutdown: false,
-            drop_conn: false,
-            outcome: None,
-        }
-    }
-}
-
 /// Per-function pipeline artifacts of a mini-language unit.
 struct FnArtifacts {
     f: LoweredFunction,
@@ -266,23 +237,27 @@ impl Unit {
     }
 }
 
-struct Answer {
-    unit: String,
+/// What a shard hands back for one answered analysis request: the
+/// result plus the phase timings the front end folds into its
+/// per-request record.
+pub(crate) struct Answer {
+    pub(crate) unit: String,
     /// True when the result came out of the per-method memo (the unit
     /// was resident *and* this method had already run on it).
-    cached: bool,
-    result: Json,
+    pub(crate) cached: bool,
+    pub(crate) result: Json,
     /// True when an injected `drop-conn` daemon fault fired on this
     /// request (the serving loop drops the connection unreplied).
-    drop_conn: bool,
-    /// Phase timings for the slowlog: unit resolution/registration,
-    /// fault injection, and method computation.
-    register_nanos: u64,
-    inject_nanos: u64,
-    compute_nanos: u64,
+    pub(crate) drop_conn: bool,
+    /// Phase timings: unit resolution/registration, fault injection,
+    /// and method computation.
+    pub(crate) register_nanos: u64,
+    pub(crate) inject_nanos: u64,
+    pub(crate) compute_nanos: u64,
 }
 
-type MethodError = (ErrorCode, String);
+/// A failed request: the envelope's error code and message.
+pub(crate) type MethodError = (ErrorCode, String);
 
 /// One unit as a snapshot sees it: `(kind tag, source text, memoized
 /// results)`.
@@ -318,27 +293,18 @@ impl Deadline {
     }
 }
 
-/// The daemon's session state — one cache shard. A sequential caller
-/// drives it through [`Session::handle_line`]; the concurrent daemon
-/// wraps several shards in `Mutex`es behind
-/// [`crate::shared::SharedSession`] and dispatches through
-/// [`Session::handle_request`].
-pub struct Session {
+/// One cache shard: resident units, their interned artifacts and
+/// memoized results, and the shard's panic/quarantine counts. The
+/// front end ([`crate::shared::SharedSession`]) owns the wire, the
+/// request record and every control method; a shard only answers
+/// analysis requests routed to it.
+pub(crate) struct Session {
     cache: LruCache<Unit>,
     config: ServeConfig,
-    requests: u64,
     panics: u64,
     quarantined: u64,
-    /// Lifetime latency of memo-hit requests (always compiled, unlike
-    /// the feature-gated `histogram!` mirror): feeds the
-    /// `serve_hot_p50/p99_nanos` stats fields.
-    hot_nanos: pst_obs::Histogram,
-    /// Lifetime latency of recompute requests.
-    cold_nanos: pst_obs::Histogram,
     /// Unit touched by the in-flight request, for quarantine on panic.
     touched: Option<u64>,
-    /// Cooperative deadline of the in-flight request.
-    deadline: Option<Instant>,
     /// Analysis-request counter for periodic daemon-fault firing; only
     /// `fault-inject` builds touch it.
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
@@ -346,224 +312,56 @@ pub struct Session {
 }
 
 impl Session {
-    /// A fresh session under the given budgets.
-    pub fn new(config: ServeConfig) -> Session {
+    /// A fresh shard under the given budgets.
+    pub(crate) fn new(config: ServeConfig) -> Session {
         Session {
             cache: LruCache::new(config.cache),
             config,
-            requests: 0,
             panics: 0,
             quarantined: 0,
-            hot_nanos: pst_obs::Histogram::new(),
-            cold_nanos: pst_obs::Histogram::new(),
             touched: None,
-            deadline: None,
             fault_cycle: 0,
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Contained-panic count (aggregated across shards by the shared
-    /// front-end).
-    pub fn contained_panics(&self) -> u64 {
+    /// Contained-panic count.
+    pub(crate) fn contained_panics(&self) -> u64 {
         self.panics
     }
 
     /// Units quarantined after a contained panic.
-    pub fn quarantined_units(&self) -> u64 {
+    pub(crate) fn quarantined_units(&self) -> u64 {
         self.quarantined
     }
 
-    /// Folds this shard's lifetime hot/cold latency histograms into the
-    /// caller's accumulators (stats aggregation across shards).
-    pub(crate) fn merge_latency_into(
-        &self,
-        hot: &mut pst_obs::Histogram,
-        cold: &mut pst_obs::Histogram,
-    ) {
-        hot.merge_from(&self.hot_nanos);
-        cold.merge_from(&self.cold_nanos);
-    }
-
-    /// This shard's cache occupancy/traffic, for stats aggregation:
-    /// `(entries, bytes, tick, lifetime stats)`.
-    pub fn cache_snapshot_stats(&self) -> (usize, usize, u64, crate::cache::CacheStats) {
+    /// This shard's cache occupancy and traffic: `(entries, bytes,
+    /// lifetime stats)`.
+    pub(crate) fn cache_stats(&self) -> (usize, usize, crate::cache::CacheStats) {
         (
             self.cache.len(),
             self.cache.total_bytes(),
-            self.cache.tick(),
             self.cache.stats(),
         )
     }
 
-    /// Answers one request line. Never panics: malformed JSON, invalid
-    /// graphs, and contained panics all come back as error envelopes.
-    pub fn handle_line(&mut self, line: &str) -> Reply {
-        let started = Instant::now();
-        self.requests += 1;
-        pst_obs::counter!("serve_requests");
-        let req = match Request::parse(line) {
-            Ok(r) => r,
-            Err(e) => return self.error_reply(&e.id, e.code, &e.message),
-        };
-        self.handle_request(&req, started)
-    }
-
-    /// Dispatches one parsed request. Entry points count
-    /// `serve_requests` themselves ([`Session::handle_line`] for the
-    /// sequential path, the shared front-end for the concurrent one) so
-    /// a request is counted exactly once however it arrives.
-    pub fn handle_request(&mut self, req: &Request, started: Instant) -> Reply {
-        match req.method {
-            Method::Shutdown => {
-                let nanos = started.elapsed().as_nanos() as u64;
-                let result = Json::obj([("stopping", Json::Bool(true))]);
-                let mut reply = Reply::of(ok_response(&req.id, None, None, nanos, result));
-                reply.shutdown = true;
-                reply
-            }
-            Method::Drain => {
-                let nanos = started.elapsed().as_nanos() as u64;
-                let result = Json::obj([("draining", Json::Bool(true))]);
-                let mut reply = Reply::of(ok_response(&req.id, None, None, nanos, result));
-                reply.shutdown = true;
-                reply
-            }
-            Method::Stats => {
-                let nanos = started.elapsed().as_nanos() as u64;
-                Reply::of(ok_response(&req.id, None, None, nanos, self.stats_json()))
-            }
-            // Live telemetry lives in the shared front-end (one series
-            // set above the shards); a bare sequential session has none.
-            Method::Metrics | Method::Slowlog => self.error_reply(
-                &req.id,
-                ErrorCode::Unsupported,
-                &format!(
-                    "`{}` is answered by the concurrent daemon front-end; \
-                     run `pst serve` with --metrics-window-ms > 0",
-                    req.method.name()
-                ),
-            ),
-            _ => {
-                self.deadline = (self.config.request_timeout_ms > 0).then(|| {
-                    started + std::time::Duration::from_millis(self.config.request_timeout_ms)
-                });
-                self.handle_analysis(req, started)
-            }
-        }
-    }
-
-    /// The envelope the server loop emits for a line that exceeded
-    /// [`ServeConfig::max_request_bytes`]. No id: the line was dropped
-    /// unparsed.
-    pub fn oversized_reply(&mut self, actual: usize) -> Reply {
-        self.requests += 1;
-        pst_obs::counter!("serve_requests");
-        self.error_reply(
-            &Json::Null,
-            ErrorCode::OversizedRequest,
-            &format!(
-                "request line is {actual} bytes; the limit is {} (--max-request-bytes)",
-                self.config.max_request_bytes
-            ),
-        )
-    }
-
-    /// The envelope the server loop emits for a non-UTF-8 request line.
-    pub fn invalid_utf8_reply(&mut self, valid_up_to: usize) -> Reply {
-        self.requests += 1;
-        pst_obs::counter!("serve_requests");
-        self.error_reply(
-            &Json::Null,
-            ErrorCode::InvalidUtf8,
-            &format!("request line is not valid UTF-8 (first invalid byte at offset {valid_up_to})"),
-        )
-    }
-
-    fn error_reply(&mut self, id: &Json, code: ErrorCode, message: &str) -> Reply {
-        pst_obs::counter!("serve_errors");
-        Reply::of(error_response(id, code, message))
-    }
-
-    /// Runs a unit-bearing method under panic containment. The default
-    /// panic hook is suppressed for the duration (panics are contained
-    /// and reported as data, same as the fuzz loop), and a panicking
-    /// request evicts the unit it touched — its interned artifacts are
-    /// suspect.
-    fn handle_analysis(&mut self, req: &Request, started: Instant) -> Reply {
+    /// Answers one unit-bearing request under panic containment. The
+    /// request's deadline runs from `started`. A panicking request is
+    /// answered with a `panic` error and evicts the unit it touched: its
+    /// interned artifacts are suspect.
+    pub(crate) fn answer(
+        &mut self,
+        req: &Request,
+        started: Instant,
+    ) -> Result<Answer, MethodError> {
         self.touched = None;
-        let previous_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Fold this request's thread-local counters into the global
-            // aggregate even if it panics: work done before the crash is
-            // data, not noise.
-            let _fold = pst_obs::fold_on_drop();
-            self.answer(req)
-        }));
-        std::panic::set_hook(previous_hook);
-        let nanos = started.elapsed().as_nanos() as u64;
-        pst_obs::histogram!("serve_request_nanos", nanos);
-        let failed_outcome = |method: Method| crate::metrics::RequestOutcome {
-            method: method.name(),
-            unit: None,
-            ok: false,
-            cached: false,
-            total_nanos: nanos,
-            register_nanos: 0,
-            inject_nanos: 0,
-            compute_nanos: 0,
+        let deadline = Deadline {
+            at: (self.config.request_timeout_ms > 0)
+                .then(|| started + Duration::from_millis(self.config.request_timeout_ms)),
+            budget_ms: self.config.request_timeout_ms,
         };
-        match outcome {
-            Ok(Ok(answer)) => {
-                pst_obs::histogram!(
-                    if answer.cached {
-                        "serve_hot_nanos"
-                    } else {
-                        "serve_cold_nanos"
-                    },
-                    nanos
-                );
-                if answer.cached {
-                    self.hot_nanos.record(nanos);
-                } else {
-                    self.cold_nanos.record(nanos);
-                }
-                pst_obs::journal::emit(pst_obs::journal::Event::UnitSummary {
-                    unit: format!("serve:{}#{}", answer.unit, req.method.name()),
-                    nanos,
-                    count: 1,
-                });
-                let mut reply = Reply::of(ok_response(
-                    &req.id,
-                    Some(&answer.unit),
-                    Some(answer.cached),
-                    nanos,
-                    answer.result,
-                ));
-                reply.drop_conn = answer.drop_conn;
-                reply.outcome = Some(crate::metrics::RequestOutcome {
-                    method: req.method.name(),
-                    unit: Some(answer.unit),
-                    ok: true,
-                    cached: answer.cached,
-                    total_nanos: nanos,
-                    register_nanos: answer.register_nanos,
-                    inject_nanos: answer.inject_nanos,
-                    compute_nanos: answer.compute_nanos,
-                });
-                reply
-            }
-            Ok(Err((code, message))) => {
-                let mut reply = self.error_reply(&req.id, code, &message);
-                reply.outcome = Some(failed_outcome(req.method));
-                reply
-            }
-            Err(payload) => {
+        match pst_obs::contain::contain(|| self.resolve_and_compute(req, deadline)) {
+            Ok(answer) => answer,
+            Err(message) => {
                 self.panics += 1;
                 pst_obs::counter!("serve_panics");
                 if let Some(key) = self.touched.take() {
@@ -572,23 +370,21 @@ impl Session {
                         pst_obs::counter!("serve_cache_quarantined");
                     }
                 }
-                let mut reply = self.error_reply(
-                    &req.id,
+                Err((
                     ErrorCode::Panic,
-                    &format!(
-                        "request panicked (contained; the daemon keeps serving): {}",
-                        panic_message(payload)
-                    ),
-                );
-                reply.outcome = Some(failed_outcome(req.method));
-                reply
+                    format!("request panicked (contained; the daemon keeps serving): {message}"),
+                ))
             }
         }
     }
 
     /// Resolves the unit (registering inline input on a miss) and
     /// computes or replays the method result.
-    fn answer(&mut self, req: &Request) -> Result<Answer, MethodError> {
+    fn resolve_and_compute(
+        &mut self,
+        req: &Request,
+        deadline: Deadline,
+    ) -> Result<Answer, MethodError> {
         let key = match &req.input {
             RequestInput::MiniSource(s) => content_hash(KIND_MINI, s.as_bytes()),
             RequestInput::EdgeList(s) => content_hash(KIND_EDGES, s.as_bytes()),
@@ -605,11 +401,6 @@ impl Session {
         };
         self.touched = Some(key);
         let hex = unit_hex(key);
-        let deadline = Deadline {
-            at: self.deadline,
-            budget_ms: self.config.request_timeout_ms,
-        };
-        let _unit_scope = pst_obs::UnitScope::enter(format!("serve:{}#{}", hex, req.method.name()));
 
         // Exactly one recency-and-stats-counting cache access per request.
         let register_started = Instant::now();
@@ -761,57 +552,6 @@ impl Session {
         self.cache.insert(key, unit, bytes);
         Ok(())
     }
-
-    /// The `stats` method result.
-    fn stats_json(&self) -> Json {
-        let s = self.cache.stats();
-        let cfg = self.cache.config();
-        Json::obj([
-            ("requests", Json::UInt(self.requests)),
-            ("contained_panics", Json::UInt(self.panics)),
-            ("quarantined_units", Json::UInt(self.quarantined)),
-            // Saturation fields, uniform with the concurrent daemon's
-            // aggregated stats: the sequential session is its own single
-            // worker and handles the `stats` request itself, so nothing
-            // else is in flight.
-            ("uptime_ticks", Json::UInt(self.cache.tick())),
-            ("in_flight", Json::UInt(0)),
-            ("workers", Json::UInt(1)),
-            (
-                "max_request_bytes",
-                Json::UInt(self.config.max_request_bytes as u64),
-            ),
-            (
-                "serve_hot_p50_nanos",
-                Json::UInt(self.hot_nanos.quantile(0.5)),
-            ),
-            (
-                "serve_hot_p99_nanos",
-                Json::UInt(self.hot_nanos.quantile(0.99)),
-            ),
-            (
-                "serve_cold_p50_nanos",
-                Json::UInt(self.cold_nanos.quantile(0.5)),
-            ),
-            (
-                "serve_cold_p99_nanos",
-                Json::UInt(self.cold_nanos.quantile(0.99)),
-            ),
-            (
-                "cache",
-                Json::obj([
-                    ("entries", Json::UInt(self.cache.len() as u64)),
-                    ("bytes", Json::UInt(self.cache.total_bytes() as u64)),
-                    ("max_entries", Json::UInt(cfg.max_entries as u64)),
-                    ("max_bytes", Json::UInt(cfg.max_bytes as u64)),
-                    ("hits", Json::UInt(s.hits)),
-                    ("misses", Json::UInt(s.misses)),
-                    ("evictions", Json::UInt(s.evictions)),
-                    ("insertions", Json::UInt(s.insertions)),
-                ]),
-            ),
-        ])
-    }
 }
 
 /// `"inject"` handling: compiled-in only under `fault-inject` (e2e panic
@@ -838,18 +578,6 @@ fn fault_inject(_kind: &str) -> Result<(), MethodError> {
         "fault injection is not compiled into this build (rebuild with --features fault-inject)"
             .to_string(),
     ))
-}
-
-/// Best-effort extraction of a panic payload message (same shape as the
-/// fuzz loop's).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Parses + lowers mini source into a resident unit.
@@ -1228,29 +956,36 @@ fn mini_dataflow_json(fa: &mut FnArtifacts) -> Result<Json, MethodError> {
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    //! Cache and compute behavior, driven through the real front end.
+
     use super::*;
+    use crate::shared::{Reply, SharedSession};
 
     const MINI: &str = "fn f(n) { s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }";
-
-    fn request(json: &str) -> String {
-        json.to_string()
-    }
 
     fn parsed(reply: &Reply) -> Json {
         Json::parse(&reply.line).expect("reply must be valid JSON")
     }
 
-    fn session() -> Session {
-        Session::new(ServeConfig::default())
+    /// One shard, as in stdio mode.
+    fn daemon(config: ServeConfig) -> SharedSession {
+        SharedSession::new(ServeConfig {
+            workers: 1,
+            ..config
+        })
+    }
+
+    fn session() -> SharedSession {
+        daemon(ServeConfig::default())
     }
 
     #[test]
     fn pst_round_trip_hits_the_cache_on_repeat() {
-        let mut s = session();
-        let line = request(&format!(
+        let s = session();
+        let line = format!(
             r#"{{"id": 1, "method": "pst", "source": {}}}"#,
             Json::Str(MINI.to_string())
-        ));
+        );
         let first = parsed(&s.handle_line(&line));
         assert_eq!(first.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(first.get("cached"), Some(&Json::Bool(false)));
@@ -1263,14 +998,14 @@ mod tests {
         assert_eq!(second.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(second.get("result"), first.get("result"));
         // Query by unit id: same memo.
-        let by_unit = parsed(&s.handle_line(&request(&format!(
+        let by_unit = parsed(&s.handle_line(&format!(
             r#"{{"id": 2, "method": "pst", "unit": "{unit}"}}"#
-        ))));
+        )));
         assert_eq!(by_unit.get("cached"), Some(&Json::Bool(true)));
         // A *different* method on the same unit is a unit hit, stage miss.
-        let lint = parsed(&s.handle_line(&request(&format!(
+        let lint = parsed(&s.handle_line(&format!(
             r#"{{"id": 3, "method": "lint", "unit": "{unit}"}}"#
-        ))));
+        )));
         assert_eq!(lint.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(lint.get("cached"), Some(&Json::Bool(false)));
         // Stats must show 3 unit hits (repeat, by-unit, lint), 1 miss.
@@ -1282,7 +1017,7 @@ mod tests {
 
     #[test]
     fn all_methods_answer_on_both_unit_kinds() {
-        let mut s = session();
+        let s = session();
         let mini = Json::Str(MINI.to_string());
         for method in ["pst", "control_regions", "controldep", "lint", "ssa", "dataflow"] {
             let r = parsed(&s.handle_line(&format!(
@@ -1316,7 +1051,7 @@ mod tests {
 
     #[test]
     fn errors_are_structured_and_do_not_stop_the_session() {
-        let mut s = session();
+        let s = session();
         let code_of = |r: &Json| {
             r.get("error")
                 .and_then(|e| e.get("code"))
@@ -1339,39 +1074,10 @@ mod tests {
         assert_eq!(ok.get("ok"), Some(&Json::Bool(true)));
     }
 
-    #[test]
-    fn drain_acknowledges_then_flags_the_loop() {
-        let mut s = session();
-        let reply = s.handle_line(r#"{"id": "d", "method": "drain"}"#);
-        assert!(reply.shutdown);
-        let r = parsed(&reply);
-        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(
-            r.get("result").and_then(|x| x.get("draining")),
-            Some(&Json::Bool(true))
-        );
-    }
-
-    #[test]
-    fn stats_reports_saturation_fields() {
-        let mut s = session();
-        let _ = s.handle_line(&format!(
-            r#"{{"method": "pst", "source": {}}}"#,
-            Json::Str(MINI.to_string())
-        ));
-        let r = parsed(&s.handle_line(r#"{"method": "stats"}"#));
-        let result = r.get("result").unwrap();
-        assert_eq!(result.get("workers"), Some(&Json::UInt(1)));
-        assert_eq!(result.get("in_flight"), Some(&Json::UInt(0)));
-        assert_eq!(result.get("quarantined_units"), Some(&Json::UInt(0)));
-        let ticks = result.get("uptime_ticks").and_then(Json::as_u64).unwrap();
-        assert!(ticks >= 1, "uptime_ticks = {ticks}");
-    }
-
     #[cfg(feature = "fault-inject")]
     #[test]
     fn slow_injection_with_a_tight_budget_exceeds_the_deadline() {
-        let mut s = Session::new(ServeConfig {
+        let s = daemon(ServeConfig {
             request_timeout_ms: 5,
             ..ServeConfig::default()
         });
@@ -1390,18 +1096,8 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_acknowledges_then_flags_the_loop() {
-        let mut s = session();
-        let reply = s.handle_line(r#"{"id": "bye", "method": "shutdown"}"#);
-        assert!(reply.shutdown);
-        let r = Json::parse(&reply.line).unwrap();
-        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(r.get("id"), Some(&Json::Str("bye".into())));
-    }
-
-    #[test]
     fn eviction_under_a_tiny_budget_forgets_old_units() {
-        let mut s = Session::new(ServeConfig {
+        let s = daemon(ServeConfig {
             cache: CacheConfig {
                 max_entries: 1,
                 max_bytes: 0,
@@ -1426,7 +1122,7 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_panic_is_contained_and_quarantines_the_unit() {
-        let mut s = session();
+        let s = session();
         let mini = Json::Str(MINI.to_string());
         let ok = parsed(&s.handle_line(&format!(r#"{{"method": "pst", "source": {mini}}}"#)));
         assert_eq!(ok.get("cached"), Some(&Json::Bool(false)));
@@ -1444,12 +1140,16 @@ mod tests {
         let again = parsed(&s.handle_line(&format!(r#"{{"method": "pst", "source": {mini}}}"#)));
         assert_eq!(again.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(again.get("cached"), Some(&Json::Bool(false)));
+        let stats = parsed(&s.handle_line(r#"{"method": "stats"}"#));
+        let result = stats.get("result").unwrap();
+        assert_eq!(result.get("contained_panics"), Some(&Json::UInt(1)));
+        assert_eq!(result.get("quarantined_units"), Some(&Json::UInt(1)));
     }
 
     #[cfg(not(feature = "fault-inject"))]
     #[test]
     fn inject_is_refused_without_the_feature() {
-        let mut s = session();
+        let s = session();
         let r = parsed(&s.handle_line(&format!(
             r#"{{"method": "pst", "source": {}, "inject": "panic"}}"#,
             Json::Str(MINI.to_string())

@@ -1,12 +1,15 @@
-//! The concurrent daemon front-end: shards, admission, drain, snapshots.
+//! The daemon front end and its only request dispatcher: shards,
+//! admission, drain, snapshots, replies, and the per-request record.
 //!
-//! [`SharedSession`] wraps N [`Session`] shards (N = `--workers`), each
-//! behind its own poison-recovering `Mutex`. Requests route to a shard
-//! by content-hash key, so concurrent requests for *different* units
-//! proceed in parallel while requests for the *same* unit serialize on
-//! its shard — which is exactly the ordering the per-unit memo wants.
-//! Unit-less control methods (`stats`, `drain`, `shutdown`) and the
-//! admission gate are handled here, above the shards.
+//! [`SharedSession`] wraps N cache shards (N = `--workers`; each a
+//! `Session`), each behind its own poison-recovering `Mutex`. Requests
+//! route to a shard by content-hash key, so concurrent requests for
+//! *different* units proceed in parallel while requests for the *same*
+//! unit serialize on its shard — which is exactly the ordering the
+//! per-unit memo wants. Request parsing, the control methods (`stats`,
+//! `metrics`, `slowlog`, `drain`, `shutdown`), the admission gate, every
+//! reply, and the fold of each request's [`RequestOutcome`] into the
+//! telemetry sinks are handled here, above the shards.
 //!
 //! Lifecycle flags are monotone (`draining`, `stopping` only ever go
 //! false→true), so workers can read them lock-free at loop boundaries:
@@ -26,23 +29,69 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use pst_obs::json::Json;
+use pst_obs::Histogram;
 
 use crate::hash::content_hash;
-use crate::metrics::LiveMetrics;
+use crate::metrics::{LiveMetrics, RequestOutcome};
 use crate::proto::{
     error_response, ok_response, overloaded_response, ErrorCode, Method, Request, RequestInput,
 };
-use crate::session::{ServeConfig, ServeFault, Session, KIND_EDGES, KIND_MINI};
+use crate::session::{MethodError, ServeConfig, ServeFault, Session, KIND_EDGES, KIND_MINI};
 use crate::snapshot::{self, SnapshotError};
 
-/// Decrements the in-flight gauge however the request ends (including
-/// by panic containment inside the shard).
+/// One response line plus transport directives for the serving loop.
+#[derive(Clone, Debug)]
+pub struct Reply {
+    /// The serialized JSON envelope (no trailing newline).
+    pub line: String,
+    /// True after a `shutdown` or `drain` request was acknowledged —
+    /// the stream stops reading after writing this reply.
+    pub shutdown: bool,
+    /// True when an injected `drop-conn` fault fired: the serving loop
+    /// must close the connection *without* writing the line (the client
+    /// sees an abrupt disconnect and is expected to retry).
+    pub drop_conn: bool,
+}
+
+impl Reply {
+    /// Every reply the daemon writes is built here.
+    fn of(envelope: Json) -> Reply {
+        Reply {
+            line: envelope.to_string(),
+            shutdown: false,
+            drop_conn: false,
+        }
+    }
+}
+
+fn error_reply(id: &Json, code: ErrorCode, message: &str) -> Reply {
+    pst_obs::counter!("serve_errors");
+    Reply::of(error_response(id, code, message))
+}
+
+/// One exposition sample: family name and value.
+type Sample = (&'static str, u64);
+
+/// Decrements the in-flight gauge however the request ends.
 struct InFlightGuard<'a>(&'a AtomicUsize);
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// The lock-guarded sinks of the per-request record, behind one mutex
+/// so folding a request takes one lock.
+struct Telemetry {
+    /// Lifetime latency of memo-hit requests: the `serve_hot_p50/p99`
+    /// stats fields.
+    hot: Histogram,
+    /// Lifetime latency of recompute requests.
+    cold: Histogram,
+    /// Windowed per-method/per-shard series and the slowlog ring;
+    /// `None` when `--metrics-window-ms 0` disabled live telemetry.
+    live: Option<LiveMetrics>,
 }
 
 /// Shared daemon state: session shards plus the cross-cutting gauges
@@ -71,9 +120,7 @@ pub struct SharedSession {
     draining: AtomicBool,
     /// Serializes snapshot writes and provides unique tmp suffixes.
     snapshot_seq: Mutex<u64>,
-    /// Windowed per-method/per-shard series and the slowlog ring;
-    /// `None` when `--metrics-window-ms 0` disabled live telemetry.
-    live: Option<Mutex<LiveMetrics>>,
+    telemetry: Mutex<Telemetry>,
 }
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -105,12 +152,12 @@ impl SharedSession {
             .map(|_| Mutex::new(Session::new(shard_config.clone())))
             .collect();
         let live = (config.metrics_window_ms > 0).then(|| {
-            Mutex::new(LiveMetrics::new(
+            LiveMetrics::new(
                 config.metrics_window_ms,
                 config.metrics_windows,
                 config.slowlog_capacity,
                 shard_count,
-            ))
+            )
         });
         let mut shared = SharedSession {
             shards,
@@ -124,7 +171,11 @@ impl SharedSession {
             restored: 0,
             draining: AtomicBool::new(false),
             snapshot_seq: Mutex::new(0),
-            live,
+            telemetry: Mutex::new(Telemetry {
+                hot: Histogram::new(),
+                cold: Histogram::new(),
+                live,
+            }),
         };
         shared.restore_snapshot();
         shared
@@ -172,20 +223,10 @@ impl SharedSession {
         pst_obs::counter!("serve_requests");
     }
 
-    fn error_reply(&self, id: &Json, code: ErrorCode, message: &str) -> crate::session::Reply {
-        pst_obs::counter!("serve_errors");
-        crate::session::Reply {
-            line: error_response(id, code, message).to_string(),
-            shutdown: false,
-            drop_conn: false,
-            outcome: None,
-        }
-    }
-
     /// The envelope for a line exceeding `--max-request-bytes`.
-    pub fn oversized_reply(&self, actual: usize) -> crate::session::Reply {
+    pub fn oversized_reply(&self, actual: usize) -> Reply {
         self.count_request();
-        self.error_reply(
+        error_reply(
             &Json::Null,
             ErrorCode::OversizedRequest,
             &format!(
@@ -196,124 +237,87 @@ impl SharedSession {
     }
 
     /// The envelope for a non-UTF-8 request line.
-    pub fn invalid_utf8_reply(&self, valid_up_to: usize) -> crate::session::Reply {
+    pub fn invalid_utf8_reply(&self, valid_up_to: usize) -> Reply {
         self.count_request();
-        self.error_reply(
+        error_reply(
             &Json::Null,
             ErrorCode::InvalidUtf8,
             &format!("request line is not valid UTF-8 (first invalid byte at offset {valid_up_to})"),
         )
     }
 
-    /// Answers one request line from any worker thread. Control methods
-    /// are handled here; analysis requests pass the admission gate and
-    /// route to a shard by content key.
-    pub fn handle_line(&self, line: &str) -> crate::session::Reply {
+    /// Answers one request line from any worker thread: the daemon's
+    /// only dispatcher. Control methods are answered here; analysis
+    /// requests pass the admission gate and route to a shard by content
+    /// key.
+    pub fn handle_line(&self, line: &str) -> Reply {
         let started = Instant::now();
         self.count_request();
         let req = match Request::parse(line) {
             Ok(r) => r,
-            Err(e) => return self.error_reply(&e.id, e.code, &e.message),
+            Err(e) => return error_reply(&e.id, e.code, &e.message),
         };
-        match req.method {
+        let result = match req.method {
             Method::Shutdown => {
                 self.draining.store(true, Ordering::SeqCst);
-                let nanos = started.elapsed().as_nanos() as u64;
-                let result = Json::obj([("stopping", Json::Bool(true))]);
-                crate::session::Reply {
-                    line: ok_response(&req.id, None, None, nanos, result).to_string(),
-                    shutdown: true,
-                    drop_conn: false,
-                    outcome: None,
-                }
+                Ok(Json::obj([("stopping", Json::Bool(true))]))
             }
             Method::Drain => {
                 self.draining.store(true, Ordering::SeqCst);
                 pst_obs::counter!("serve_drains");
-                let nanos = started.elapsed().as_nanos() as u64;
-                let result = Json::obj([
+                Ok(Json::obj([
                     ("draining", Json::Bool(true)),
                     ("in_flight", Json::UInt(self.in_flight() as u64)),
-                ]);
-                crate::session::Reply {
-                    line: ok_response(&req.id, None, None, nanos, result).to_string(),
-                    shutdown: true,
-                    drop_conn: false,
-                    outcome: None,
-                }
+                ]))
             }
-            Method::Stats => {
+            Method::Stats => Ok(self.stats_json()),
+            Method::Metrics => self.metrics_json(&req),
+            Method::Slowlog => self.with_live(|live| live.slowlog_json()),
+            _ => return self.handle_analysis(&req, started),
+        };
+        let mut reply = match result {
+            Ok(result) => {
                 let nanos = started.elapsed().as_nanos() as u64;
-                crate::session::Reply {
-                    line: ok_response(&req.id, None, None, nanos, self.stats_json()).to_string(),
-                    shutdown: false,
-                    drop_conn: false,
-                    outcome: None,
-                }
+                Reply::of(ok_response(&req.id, None, None, nanos, result))
             }
-            Method::Metrics => self.metrics_reply(&req, started),
-            Method::Slowlog => self.slowlog_reply(&req, started),
-            _ => self.handle_analysis(&req, started),
+            Err((code, message)) => error_reply(&req.id, code, &message),
+        };
+        reply.shutdown = matches!(req.method, Method::Shutdown | Method::Drain);
+        reply
+    }
+
+    /// Runs `f` on the live series, or refuses when live telemetry is
+    /// disabled.
+    fn with_live<T>(&self, f: impl FnOnce(&mut LiveMetrics) -> T) -> Result<T, MethodError> {
+        match &mut lock(&self.telemetry).live {
+            Some(live) => Ok(f(live)),
+            None => Err((
+                ErrorCode::Unsupported,
+                "live telemetry is disabled (--metrics-window-ms 0)".to_string(),
+            )),
         }
     }
 
     /// The `metrics` RPC: windowed JSON by default, Prometheus-style
     /// text (as a `body` string field) on `"format": "text"`.
-    fn metrics_reply(&self, req: &Request, started: Instant) -> crate::session::Reply {
-        let Some(live) = &self.live else {
-            return self.error_reply(
-                &req.id,
-                ErrorCode::Unsupported,
-                "live telemetry is disabled (--metrics-window-ms 0)",
-            );
-        };
-        let result = match req.format.as_deref() {
-            None | Some("json") => lock(live).to_json(),
-            Some("text") => Json::obj([
+    fn metrics_json(&self, req: &Request) -> Result<Json, MethodError> {
+        let (counters, gauges) = self.daemon_families();
+        self.with_live(|live| match req.format.as_deref() {
+            None | Some("json") => Ok(live.to_json()),
+            Some("text") => Ok(Json::obj([
                 ("format", Json::Str("text".to_string())),
-                ("body", Json::Str(self.render_metrics_text())),
-            ]),
-            Some(other) => {
-                return self.error_reply(
-                    &req.id,
-                    ErrorCode::InvalidRequest,
-                    &format!("unknown metrics format `{other}` (expected `json` or `text`)"),
-                )
-            }
-        };
-        let nanos = started.elapsed().as_nanos() as u64;
-        crate::session::Reply {
-            line: ok_response(&req.id, None, None, nanos, result).to_string(),
-            shutdown: false,
-            drop_conn: false,
-            outcome: None,
-        }
+                ("body", Json::Str(live.render_text(&counters, &gauges))),
+            ])),
+            Some(other) => Err((
+                ErrorCode::InvalidRequest,
+                format!("unknown metrics format `{other}` (expected `json` or `text`)"),
+            )),
+        })?
     }
 
-    /// The `slowlog` RPC: the top-K slowest requests, phase-attributed.
-    fn slowlog_reply(&self, req: &Request, started: Instant) -> crate::session::Reply {
-        let Some(live) = &self.live else {
-            return self.error_reply(
-                &req.id,
-                ErrorCode::Unsupported,
-                "live telemetry is disabled (--metrics-window-ms 0)",
-            );
-        };
-        let result = lock(live).slowlog_json();
-        let nanos = started.elapsed().as_nanos() as u64;
-        crate::session::Reply {
-            line: ok_response(&req.id, None, None, nanos, result).to_string(),
-            shutdown: false,
-            drop_conn: false,
-            outcome: None,
-        }
-    }
-
-    /// The one-shot HTTP responder's body (`--metrics-listen`): every
-    /// live family plus the daemon-wide counters and gauges. Works —
-    /// reduced to the daemon-wide families — even when live telemetry
-    /// is disabled.
-    pub fn render_metrics_text(&self) -> String {
+    /// The daemon-wide counters and gauges every text exposition ends
+    /// with.
+    fn daemon_families(&self) -> ([Sample; 2], [Sample; 3]) {
         let counters = [
             ("pst_serve_shed_total", self.shed.load(Ordering::SeqCst)),
             (
@@ -326,27 +330,28 @@ impl SharedSession {
             ("pst_serve_workers", self.shards.len() as u64),
             ("pst_serve_draining", u64::from(self.is_draining())),
         ];
-        match &self.live {
-            Some(live) => lock(live).render_text(&counters, &gauges),
-            None => crate::metrics::render_extra_only(&counters, &gauges),
-        }
+        (counters, gauges)
     }
 
-    fn handle_analysis(&self, req: &Request, started: Instant) -> crate::session::Reply {
+    /// The one-shot HTTP responder's body (`--metrics-listen`): every
+    /// live family plus the daemon-wide counters and gauges. Works —
+    /// reduced to the daemon-wide families — even when live telemetry
+    /// is disabled.
+    pub fn render_metrics_text(&self) -> String {
+        let (counters, gauges) = self.daemon_families();
+        self.with_live(|live| live.render_text(&counters, &gauges))
+            .unwrap_or_else(|_| crate::metrics::render_extra_only(&counters, &gauges))
+    }
+
+    fn handle_analysis(&self, req: &Request, started: Instant) -> Reply {
         if self.is_draining() {
             self.shed.fetch_add(1, Ordering::SeqCst);
             pst_obs::counter!("serve_shed");
-            return crate::session::Reply {
-                line: overloaded_response(
-                    &req.id,
-                    "daemon is draining; no new work is admitted — retry against a fresh instance",
-                    0,
-                )
-                .to_string(),
-                shutdown: false,
-                drop_conn: false,
-                outcome: None,
-            };
+            return Reply::of(overloaded_response(
+                &req.id,
+                "daemon is draining; no new work is admitted — retry against a fresh instance",
+                0,
+            ));
         }
         // Admission gate: claim a slot optimistically, release and shed
         // if that claim overshot the bound.
@@ -358,46 +363,115 @@ impl SharedSession {
             // Hint scales with saturation so a thundering herd spreads
             // out; the bench client adds jitter on top.
             let retry_after_ms = 10 + 5 * (occupied.min(100) as u64);
-            return crate::session::Reply {
-                line: overloaded_response(
-                    &req.id,
-                    &format!(
-                        "daemon is at its in-flight limit ({}; --max-inflight); retry after the hint",
-                        self.config.max_inflight
-                    ),
-                    retry_after_ms,
-                )
-                .to_string(),
-                shutdown: false,
-                drop_conn: false,
-                outcome: None,
-            };
+            return Reply::of(overloaded_response(
+                &req.id,
+                &format!(
+                    "daemon is at its in-flight limit ({}; --max-inflight); retry after the hint",
+                    self.config.max_inflight
+                ),
+                retry_after_ms,
+            ));
         }
         let _slot = InFlightGuard(&self.in_flight);
         let shard = self.shard_of(&req.input);
-        let reply = lock(&self.shards[shard]).handle_request(req, started);
+        let answer = lock(&self.shards[shard]).answer(req, started);
+        let total_nanos = started.elapsed().as_nanos() as u64;
 
-        // Fold the request into the live series (and, past the
-        // threshold, the journal) before the reply leaves the daemon.
-        if let (Some(live), Some(outcome)) = (&self.live, reply.outcome.as_ref()) {
-            lock(live).record(outcome, shard);
-            let threshold_nanos = self.config.slowlog_ms.saturating_mul(1_000_000);
-            if self.config.slowlog_ms > 0 && outcome.total_nanos >= threshold_nanos {
-                pst_obs::counter!("serve_slow_requests");
-                pst_obs::journal::emit(pst_obs::journal::Event::SlowRequest {
-                    method: outcome.method.to_string(),
-                    unit: outcome.unit.clone(),
-                    total_nanos: outcome.total_nanos,
-                    compute_nanos: outcome.compute_nanos,
-                });
+        // The per-request record, filled once and folded into every
+        // sink before the reply leaves the daemon.
+        let mut record = RequestOutcome {
+            method: req.method.name(),
+            unit: None,
+            ok: false,
+            cached: false,
+            total_nanos,
+            register_nanos: 0,
+            inject_nanos: 0,
+            compute_nanos: 0,
+        };
+        let reply = match answer {
+            Ok(answer) => {
+                let mut reply = Reply::of(ok_response(
+                    &req.id,
+                    Some(&answer.unit),
+                    Some(answer.cached),
+                    total_nanos,
+                    answer.result,
+                ));
+                reply.drop_conn = answer.drop_conn;
+                record = RequestOutcome {
+                    unit: Some(answer.unit),
+                    ok: true,
+                    cached: answer.cached,
+                    register_nanos: answer.register_nanos,
+                    inject_nanos: answer.inject_nanos,
+                    compute_nanos: answer.compute_nanos,
+                    ..record
+                };
+                reply
             }
-        }
+            Err((code, message)) => error_reply(&req.id, code, &message),
+        };
+        self.record(&record, shard);
 
         let admitted = self.admitted.fetch_add(1, Ordering::SeqCst) + 1;
         if self.config.snapshot_every > 0 && admitted.is_multiple_of(self.config.snapshot_every) {
             self.save_snapshot();
         }
         reply
+    }
+
+    /// Folds one analysis request's record into every sink: the
+    /// `serve_request/hot/cold_nanos` histograms, the lifetime hot/cold
+    /// quantiles of `stats`, the live series and slowlog, and the
+    /// journal's `unit_summary` and `slow_request` events. The only
+    /// reader of a request's timings.
+    fn record(&self, record: &RequestOutcome, shard: usize) {
+        let nanos = record.total_nanos;
+        pst_obs::histogram!("serve_request_nanos", nanos);
+        if record.ok {
+            if record.cached {
+                pst_obs::histogram!("serve_hot_nanos", nanos);
+            } else {
+                pst_obs::histogram!("serve_cold_nanos", nanos);
+            }
+        }
+        let live = {
+            let mut telemetry = lock(&self.telemetry);
+            if record.ok {
+                if record.cached {
+                    telemetry.hot.record(nanos);
+                } else {
+                    telemetry.cold.record(nanos);
+                }
+            }
+            match &mut telemetry.live {
+                Some(live) => {
+                    live.record(record, shard);
+                    true
+                }
+                None => false,
+            }
+        };
+        if record.ok && pst_obs::journal::installed() {
+            if let Some(unit) = &record.unit {
+                pst_obs::journal::emit(pst_obs::journal::Event::UnitSummary {
+                    unit: format!("serve:{unit}#{}", record.method),
+                    nanos,
+                    count: 1,
+                });
+            }
+        }
+        let threshold_nanos = self.config.slowlog_ms.saturating_mul(1_000_000);
+        if live && self.config.slowlog_ms > 0 && nanos >= threshold_nanos {
+            pst_obs::counter!("serve_slow_requests");
+            pst_obs::journal::emit(pst_obs::journal::Event::SlowRequest {
+                method: record.method.to_string(),
+                unit: record.unit.clone(),
+                total_nanos: nanos,
+                compute_nanos: record.compute_nanos,
+            });
+        }
     }
 
     /// Routes an input to its shard: same content, same shard, always.
@@ -419,11 +493,9 @@ impl SharedSession {
         let mut panics = 0u64;
         let mut quarantined = 0u64;
         let mut stats = crate::cache::CacheStats::default();
-        let mut hot = pst_obs::Histogram::new();
-        let mut cold = pst_obs::Histogram::new();
         for shard in &self.shards {
             let s = lock(shard);
-            let (e, b, _tick, cs) = s.cache_snapshot_stats();
+            let (e, b, cs) = s.cache_stats();
             entries += e as u64;
             bytes += b as u64;
             stats.hits += cs.hits;
@@ -432,8 +504,14 @@ impl SharedSession {
             stats.insertions += cs.insertions;
             panics += s.contained_panics();
             quarantined += s.quarantined_units();
-            s.merge_latency_into(&mut hot, &mut cold);
         }
+        let (hot, cold) = {
+            let telemetry = lock(&self.telemetry);
+            (
+                [telemetry.hot.quantile(0.5), telemetry.hot.quantile(0.99)],
+                [telemetry.cold.quantile(0.5), telemetry.cold.quantile(0.99)],
+            )
+        };
         let cfg = self.config.cache;
         Json::obj([
             ("requests", Json::UInt(self.requests.load(Ordering::SeqCst))),
@@ -453,10 +531,10 @@ impl SharedSession {
                 "max_request_bytes",
                 Json::UInt(self.config.max_request_bytes as u64),
             ),
-            ("serve_hot_p50_nanos", Json::UInt(hot.quantile(0.5))),
-            ("serve_hot_p99_nanos", Json::UInt(hot.quantile(0.99))),
-            ("serve_cold_p50_nanos", Json::UInt(cold.quantile(0.5))),
-            ("serve_cold_p99_nanos", Json::UInt(cold.quantile(0.99))),
+            ("serve_hot_p50_nanos", Json::UInt(hot[0])),
+            ("serve_hot_p99_nanos", Json::UInt(hot[1])),
+            ("serve_cold_p50_nanos", Json::UInt(cold[0])),
+            ("serve_cold_p99_nanos", Json::UInt(cold[1])),
             (
                 "cache",
                 Json::obj([
@@ -569,7 +647,7 @@ mod tests {
         }
     }
 
-    fn parsed(reply: &crate::session::Reply) -> Json {
+    fn parsed(reply: &Reply) -> Json {
         Json::parse(&reply.line).unwrap()
     }
 
@@ -632,6 +710,84 @@ mod tests {
             stats.get("result").and_then(|x| x.get("draining")),
             Some(&Json::Bool(true))
         );
+    }
+
+    #[test]
+    fn drain_acknowledges_then_flags_the_loop() {
+        let shared = SharedSession::new(config(1));
+        let reply = shared.handle_line(r#"{"id": "d", "method": "drain"}"#);
+        assert!(reply.shutdown);
+        let r = parsed(&reply);
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(r.get("id"), Some(&Json::Str("d".into())));
+        assert_eq!(
+            r.get("result").and_then(|x| x.get("draining")),
+            Some(&Json::Bool(true))
+        );
+    }
+
+    #[test]
+    fn shutdown_acknowledges_then_flags_the_loop() {
+        let shared = SharedSession::new(config(1));
+        let reply = shared.handle_line(r#"{"id": "bye", "method": "shutdown"}"#);
+        assert!(reply.shutdown);
+        assert!(shared.is_draining());
+        let r = parsed(&reply);
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(r.get("id"), Some(&Json::Str("bye".into())));
+    }
+
+    #[test]
+    fn stats_reports_saturation_fields() {
+        let shared = SharedSession::new(config(1));
+        let _ = shared.handle_line(&pst_line(MINI));
+        let again = parsed(&shared.handle_line(&pst_line(MINI)));
+        assert_eq!(again.get("cached"), Some(&Json::Bool(true)));
+        let r = parsed(&shared.handle_line(r#"{"method": "stats"}"#));
+        let result = r.get("result").unwrap();
+        assert_eq!(result.get("workers"), Some(&Json::UInt(1)));
+        assert_eq!(result.get("in_flight"), Some(&Json::UInt(0)));
+        assert_eq!(result.get("quarantined_units"), Some(&Json::UInt(0)));
+        let ticks = result.get("uptime_ticks").and_then(Json::as_u64).unwrap();
+        assert!(ticks >= 1, "uptime_ticks = {ticks}");
+        // The lifetime quantiles come from the per-request record: one
+        // cold and one hot request were folded in.
+        for field in ["serve_hot_p50_nanos", "serve_cold_p50_nanos"] {
+            let nanos = result.get(field).and_then(Json::as_u64).unwrap();
+            assert!(nanos > 0, "{field} = {nanos}");
+        }
+    }
+
+    #[test]
+    fn distinct_units_add_no_per_unit_sub_reports() {
+        // Every distinct unit once added a `serve:<unit>#<method>`
+        // sub-report to the process-wide obs report, and nothing ever
+        // evicted them: memory grew with distinct sources even under a
+        // tiny cache. The per-request record now feeds bounded sinks
+        // only.
+        let shared = SharedSession::new(ServeConfig {
+            cache: CacheConfig {
+                max_entries: 8,
+                max_bytes: 0,
+            },
+            ..config(1)
+        });
+        for i in 0..2000 {
+            let src = format!("fn leak{i}(n) {{ return n; }}");
+            let r = parsed(&shared.handle_line(&pst_line(&src)));
+            assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "unit {i}");
+        }
+        pst_obs::flush_thread();
+        let report = pst_obs::report();
+        let serve_units = report.units.keys().filter(|u| u.starts_with("serve:")).count();
+        assert_eq!(serve_units, 0);
+        if pst_obs::enabled() {
+            assert!(report.counter("serve_requests") >= 2000, "the requests were recorded");
+        }
+        let stats = parsed(&shared.handle_line(r#"{"method": "stats"}"#));
+        let cache = stats.get("result").and_then(|r| r.get("cache")).unwrap();
+        assert_eq!(cache.get("entries"), Some(&Json::UInt(8)));
+        assert_eq!(cache.get("misses"), Some(&Json::UInt(2000)));
     }
 
     #[test]

@@ -114,10 +114,25 @@ impl DomOracle {
     }
 
     /// Definition-6 membership: node `n` lies in region `(entry, exit)`
-    /// iff the entry edge dominates it and the exit edge postdominates it.
+    /// iff the entry edge dominates it, the exit edge postdominates it,
+    /// and the exit edge does *not* dominate it.
+    ///
+    /// The third condition is needed because dominance and
+    /// postdominance alone also admit nodes *after* the region: a node
+    /// that is reached only through the exit edge (so the entry edge
+    /// dominates it too) and that can only leave by looping back
+    /// through the exit edge (so the exit edge postdominates it) meets
+    /// both tests, yet no path from entry to exit visits it without
+    /// first leaving the region. Such a node would be claimed by two
+    /// sequential regions that share a boundary edge, a partial overlap
+    /// Theorem 1 rules out. A node inside the region is reached from
+    /// the entry without crossing the exit, so the exit never dominates
+    /// it.
     fn node_in_region(&self, entry: EdgeId, exit: EdgeId, n: NodeId) -> bool {
+        let exit_mid = self.split.midpoint(exit);
         self.dom.dominates(self.split.midpoint(entry), n)
-            && self.pdom.dominates(self.split.midpoint(exit), n)
+            && self.pdom.dominates(exit_mid, n)
+            && !self.dom.dominates(exit_mid, n)
     }
 }
 

@@ -23,6 +23,33 @@ fn assert_clean(cfg: &pst_cfg::Cfg, what: &str) {
     );
 }
 
+/// A canonicalized messy digraph where a loop is entered only through
+/// the exit edge of one region, which is the entry edge of the next.
+/// The `pst` checker's membership oracle once placed the loop's nodes
+/// in *both* sequential regions (region (e13, e7) and (e7, e2) both
+/// claimed node 8), reporting a partial overlap on a correct tree.
+#[test]
+fn pst_checker_accepts_a_loop_entered_through_a_region_exit() {
+    let (graph, entry) = random_digraph(
+        &DigraphConfig {
+            nodes: 64,
+            edges: 96,
+            force_entry_predecessor: true,
+            force_unreachable: true,
+            force_infinite_loop: true,
+            force_multiple_exits: true,
+            force_self_loop: false,
+        },
+        0,
+    );
+    let cfg = pst_cfg::canonicalize(&graph, entry, &pst_cfg::CanonicalizeOptions::default())
+        .expect("canonicalize repairs any digraph")
+        .cfg;
+    let report = pst_verify::check_pst(&cfg, &pst_core::ProgramStructureTree::build(&cfg));
+    assert!(report.is_clean(), "{report}");
+    assert_clean(&cfg, "random_digraph(64, 96, seed 0), canonicalized");
+}
+
 #[test]
 fn structured_corpus_passes_all_checkers() {
     assert_clean(&linear_chain(12), "linear_chain(12)");

@@ -391,6 +391,17 @@ done)
     || { echo "FAIL: unwrap/expect in the request path:"; echo "$unwraps"; exit 1; }
 echo "unwrap gate OK"
 
+echo "== gate: one panic-hook install site =="
+# Swapping the process-wide panic hook per unit of work races between
+# threads (one thread can restore another's silent hook and silence
+# every later panic). pst_obs::contain installs the one hook; nothing
+# else in crates/*/src may touch it.
+hooks=$(grep -rnE 'set_hook|take_hook' crates/*/src --include='*.rs' \
+    | grep -v '^crates/obs/src/contain\.rs:' || true)
+[ -z "$hooks" ] \
+    || { echo "FAIL: panic hook touched outside crates/obs/src/contain.rs:"; echo "$hooks"; exit 1; }
+echo "panic-hook gate OK"
+
 echo "== smoke: pst serve (NDJSON round trip, cache hit, error envelope) =="
 # Drive the daemon over stdin: the same pst query twice (second must be
 # served from the session cache), one garbage line (must get a

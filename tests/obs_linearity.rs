@@ -17,8 +17,24 @@ use pst_workloads::{nested_while_loops, random_cfg};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// Holds [`OBS_LOCK`]; on drop, folds this thread's tallies into the
+/// global report *before* unlocking. Otherwise the test thread would
+/// fold them when it exits, after the next test has already reset the
+/// registry, and that test would measure someone else's counters.
+struct Locked {
+    _guard: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Drop for Locked {
+    fn drop(&mut self) {
+        pst_obs::flush_thread();
+    }
+}
+
+fn locked() -> Locked {
+    Locked {
+        _guard: OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner()),
+    }
 }
 
 /// Counters recorded by one `canonical_regions` run over `cfg`.
