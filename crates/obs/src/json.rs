@@ -5,7 +5,9 @@
 //! data model: the emitter escapes strings per RFC 8259, integers
 //! round-trip exactly (`i64`/`u64` are kept out of floating point), and
 //! the parser exists so tests and `scripts/verify.sh` can validate what
-//! the pipeline emits without external tooling.
+//! the pipeline emits without external tooling. `pst serve` parses every
+//! request line with it, so the parser is linear in the input and
+//! refuses nesting deeper than [`MAX_DEPTH`].
 
 use std::fmt;
 
@@ -71,8 +73,10 @@ impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -150,6 +154,16 @@ impl fmt::Display for Json {
     }
 }
 
+/// A borrowed string rendered as a JSON string literal: quoted and
+/// escaped exactly as `Json::Str` renders, without building one.
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_escaped(f, self.0)
+    }
+}
+
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
@@ -185,9 +199,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[[[…` would
+/// overflow the stack of whatever thread parses it (a serve worker has
+/// the default 2 MiB) and abort the process.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -232,8 +255,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -294,8 +328,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. Those bytes are ASCII, so the run ends on
+            // a character boundary of the (already valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1F))
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             match b {
@@ -357,17 +399,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }

@@ -23,7 +23,7 @@
 //! never dies on a request. See `docs/SERVING.md` for the full method
 //! and error-code tables.
 
-use pst_obs::json::Json;
+use pst_obs::json::{Escaped, Json};
 
 /// Every request method the daemon answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -319,6 +319,33 @@ pub fn ok_response(
     Json::Obj(fields)
 }
 
+/// Renders the success envelope around an already-rendered `result`.
+/// The text is byte for byte `ok_response(id, unit, cached, nanos, r)
+/// .to_string()` for any `r` that renders as `result`, so a memo hit
+/// copies its stored text into the reply instead of re-rendering a
+/// `Json` tree. The buffer is sized for the result plus the envelope
+/// fields and the line's `\n`, so framing the line rarely reallocates.
+pub fn ok_line(
+    id: &Json,
+    unit: Option<&str>,
+    cached: Option<bool>,
+    nanos: u64,
+    result: &str,
+) -> String {
+    use std::fmt::Write as _;
+    let mut line = String::with_capacity(result.len() + 128);
+    // Writing into a `String` cannot fail.
+    let _ = write!(line, "{{\"id\":{id},\"ok\":true");
+    if let Some(u) = unit {
+        let _ = write!(line, ",\"unit\":{}", Escaped(u));
+    }
+    if let Some(c) = cached {
+        let _ = write!(line, ",\"cached\":{c}");
+    }
+    let _ = write!(line, ",\"nanos\":{nanos},\"result\":{result}}}");
+    line
+}
+
 /// Builds the error envelope.
 pub fn error_response(id: &Json, code: ErrorCode, message: &str) -> Json {
     Json::obj([
@@ -403,6 +430,21 @@ mod tests {
             parsed.get("error").and_then(|e| e.get("code")),
             Some(&Json::Str("panic".into()))
         );
+        let result = Json::obj([("tree", Json::Str("r0 \"a\"\n".into()))]);
+        for (id, unit, cached) in [
+            (Json::UInt(3), Some("abc"), Some(true)),
+            (
+                Json::Str("h\"1\\".into()),
+                Some("0123456789abcdef"),
+                Some(false),
+            ),
+            (Json::Null, None, None),
+        ] {
+            assert_eq!(
+                ok_line(&id, unit, cached, 42, &result.to_string()),
+                ok_response(&id, unit, cached, 42, result.clone()).to_string()
+            );
+        }
         let shed = overloaded_response(&Json::UInt(5), "saturated", 40);
         let parsed = Json::parse(&shed.to_string()).unwrap();
         assert_eq!(

@@ -7,7 +7,9 @@
 //! `invalid_utf8` naming the first bad byte offset — the daemon never
 //! dies on input, it answers. Blank lines are skipped; EOF (or a client
 //! disconnect, over TCP) ends that stream cleanly; an acknowledged
-//! `shutdown` or `drain` ends the daemon.
+//! `shutdown` or `drain` ends the daemon. Each reply (envelope plus
+//! newline) leaves in a single write, and accepted TCP streams set
+//! `TCP_NODELAY`, so no reply waits on the client's delayed ACK.
 //!
 //! The TCP path is a bounded worker pool (`--workers N`, scoped threads)
 //! behind a non-blocking accept loop. Accepted connections land in a
@@ -161,8 +163,12 @@ pub fn serve_stream<R: BufRead, W: Write>(
             // client sees an abrupt disconnect and is expected to retry.
             return Ok(false);
         }
-        writer.write_all(reply.line.as_bytes())?;
-        writer.write_all(b"\n")?;
+        // Envelope and newline leave in one write. Split in two, the
+        // newline waits on a TCP socket until the client acknowledges the
+        // envelope, which a delayed-ACK client does only after ~40 ms.
+        let mut framed = reply.line;
+        framed.push('\n');
+        writer.write_all(framed.as_bytes())?;
         writer.flush()?;
         if reply.shutdown {
             return Ok(true);
@@ -341,7 +347,7 @@ impl ConnQueue {
 /// refused, then drops it. Best-effort: the client may already be gone.
 fn shed_connection(shared: &SharedSession, mut stream: TcpStream) {
     pst_obs::counter!("serve_shed");
-    let line = overloaded_response(
+    let mut line = overloaded_response(
         &Json::Null,
         &format!(
             "daemon accept queue is full ({} workers; --workers); retry after the hint",
@@ -350,8 +356,8 @@ fn shed_connection(shared: &SharedSession, mut stream: TcpStream) {
         25,
     )
     .to_string();
+    line.push('\n');
     let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
 }
 
 /// Serves one accepted connection on a worker thread. All I/O errors
@@ -424,8 +430,14 @@ pub fn serve_listener(config: ServeConfig, listener: TcpListener) -> io::Result<
                 Ok((stream, _peer)) => {
                     shared.note_connection();
                     // Accepted sockets must not inherit the listener's
-                    // non-blocking mode (platform-dependent).
-                    if stream.set_nonblocking(false).is_err() {
+                    // non-blocking mode (platform-dependent). Each reply
+                    // is one write, so Nagle's algorithm would only hold
+                    // it back.
+                    if stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_nodelay(true))
+                        .is_err()
+                    {
                         shared.note_conn_error();
                         continue;
                     }
@@ -533,6 +545,57 @@ mod tests {
             other => panic!("no message: {other:?}"),
         }
         assert_eq!(replies[1].get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_refused_and_serving_continues() {
+        // A million `[` once overflowed the parser's stack and aborted
+        // the daemon.
+        let mut input = "[".repeat(1_000_000).into_bytes();
+        input.extend_from_slice(b"\n{\"method\": \"stats\"}\n");
+        let (replies, _) = drive(&input, ServeConfig::default());
+        assert_eq!(replies.len(), 2);
+        let err = replies[0].get("error").unwrap();
+        assert_eq!(err.get("code"), Some(&Json::Str("parse_error".into())));
+        match err.get("message") {
+            Some(Json::Str(m)) => assert!(m.contains("nesting deeper than"), "got: {m}"),
+            other => panic!("no message: {other:?}"),
+        }
+        assert_eq!(replies[1].get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn sequential_tcp_round_trips_do_not_wait_on_delayed_acks() {
+        use std::io::{BufRead as _, BufReader, Write as _};
+        use std::time::{Duration, Instant};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            serve_listener(ServeConfig::default(), listener).unwrap();
+        });
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut call = |line: &[u8]| {
+            stream.write_all(line).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Json::parse(reply.trim()).unwrap()
+        };
+        let request = b"{\"method\": \"pst\", \"source\": \"fn f(n) { return n; }\"}\n";
+        assert_eq!(call(request).get("ok"), Some(&Json::Bool(true)));
+        let started = Instant::now();
+        for _ in 0..20 {
+            assert_eq!(call(request).get("cached"), Some(&Json::Bool(true)));
+        }
+        let took = started.elapsed();
+        call(b"{\"method\": \"shutdown\"}\n");
+        server.join().unwrap();
+        // A reply that waits on the client's delayed ACK costs ~40 ms.
+        assert!(
+            took < Duration::from_millis(20 * 40 / 2),
+            "20 memo-hit round trips took {took:?}"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! it once; every later request against the same content is a cache
 //! lookup. Within a unit, artifacts are interned per *stage*: the PST is
 //! built at most once and shared by `pst`, `ssa`, and `dataflow`, and
-//! each method's final result JSON is memoized, so a repeat query is a
-//! clone, not a recompute.
+//! each method's final result is memoized as its rendered JSON text, so
+//! a repeat query copies that text into the reply: no recompute and no
+//! re-render.
 //!
 //! Every analysis is fault-isolated with [`pst_obs::contain::contain`]
 //! (the same containment the fuzz loop uses): a panicking request
@@ -20,6 +21,7 @@
 //! only its own cache traffic (`serve_cache_*`, `serve_stage_*`) and
 //! contained panics.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pst_cfg::{canonicalize, parse_edge_list_graph, CanonicalizeOptions, Canonicalized, Graph, NodeId};
@@ -38,6 +40,19 @@ use crate::proto::{ErrorCode, Method, Request, RequestInput};
 /// these as `"mini"` / `"edges"` (see `snapshot.rs`).
 pub(crate) const KIND_MINI: u64 = 1;
 pub(crate) const KIND_EDGES: u64 = 2;
+
+/// The cache key a request names: the content hash of its inline input,
+/// or the unit id it gives; `None` for an input-less request. The front
+/// end computes it once per request, routes by it, and hands it to the
+/// shard, so an inline source is hashed once.
+pub(crate) fn unit_key(input: &RequestInput) -> Option<u64> {
+    match input {
+        RequestInput::MiniSource(s) => Some(content_hash(KIND_MINI, s.as_bytes())),
+        RequestInput::EdgeList(s) => Some(content_hash(KIND_EDGES, s.as_bytes())),
+        RequestInput::Unit(k) => Some(*k),
+        RequestInput::None => None,
+    }
+}
 
 /// A daemon-level chaos fault (`pst serve --inject-fault <kind>`,
 /// honored only by `fault-inject` builds). The enum itself is always
@@ -193,24 +208,25 @@ struct Unit {
     kind: u64,
     /// The registered input text, verbatim.
     source: String,
-    /// `(method name, memoized result)` — methods take no parameters
-    /// beyond the unit, so one slot per method suffices.
-    results: Vec<(&'static str, Json)>,
-    /// Running estimate of the memoized results' rendered size.
+    /// `(method name, memoized result as rendered JSON text)` — methods
+    /// take no parameters beyond the unit, so one slot per method
+    /// suffices. Only the text is kept: a hit splices it into the reply.
+    results: Vec<(&'static str, Arc<str>)>,
+    /// Total length of the memoized texts, in bytes.
     results_bytes: usize,
 }
 
 impl Unit {
-    fn cached_result(&self, method: &'static str) -> Option<&Json> {
+    fn cached_result(&self, method: &'static str) -> Option<&Arc<str>> {
         self.results
             .iter()
             .find(|(m, _)| *m == method)
             .map(|(_, r)| r)
     }
 
-    fn memoize(&mut self, method: &'static str, result: &Json) {
-        self.results_bytes += result.to_string().len() * 2;
-        self.results.push((method, result.clone()));
+    fn memoize(&mut self, method: &'static str, result: Arc<str>) {
+        self.results_bytes += result.len();
+        self.results.push((method, result));
     }
 
     /// Approximate retained heap: a crude, monotone estimate is all the
@@ -245,7 +261,8 @@ pub(crate) struct Answer {
     /// True when the result came out of the per-method memo (the unit
     /// was resident *and* this method had already run on it).
     pub(crate) cached: bool,
-    pub(crate) result: Json,
+    /// The method result, rendered as JSON text.
+    pub(crate) result: Arc<str>,
     /// True when an injected `drop-conn` daemon fault fired on this
     /// request (the serving loop drops the connection unreplied).
     pub(crate) drop_conn: bool,
@@ -260,8 +277,8 @@ pub(crate) struct Answer {
 pub(crate) type MethodError = (ErrorCode, String);
 
 /// One unit as a snapshot sees it: `(kind tag, source text, memoized
-/// results)`.
-pub(crate) type ExportedUnit = (u64, String, Vec<(&'static str, Json)>);
+/// results as rendered JSON text)`.
+pub(crate) type ExportedUnit = (u64, String, Vec<(&'static str, Arc<str>)>);
 
 /// The in-flight request's cooperative deadline, checked at phase
 /// boundaries (after registration, after fault injection, and between
@@ -344,13 +361,14 @@ impl Session {
         )
     }
 
-    /// Answers one unit-bearing request under panic containment. The
-    /// request's deadline runs from `started`. A panicking request is
-    /// answered with a `panic` error and evicts the unit it touched: its
-    /// interned artifacts are suspect.
+    /// Answers one unit-bearing request under panic containment. `key`
+    /// is the request's [`unit_key`]; its deadline runs from `started`.
+    /// A panicking request is answered with a `panic` error and evicts
+    /// the unit it touched: its interned artifacts are suspect.
     pub(crate) fn answer(
         &mut self,
         req: &Request,
+        key: Option<u64>,
         started: Instant,
     ) -> Result<Answer, MethodError> {
         self.touched = None;
@@ -359,7 +377,7 @@ impl Session {
                 .then(|| started + Duration::from_millis(self.config.request_timeout_ms)),
             budget_ms: self.config.request_timeout_ms,
         };
-        match pst_obs::contain::contain(|| self.resolve_and_compute(req, deadline)) {
+        match pst_obs::contain::contain(|| self.resolve_and_compute(req, key, deadline)) {
             Ok(answer) => answer,
             Err(message) => {
                 self.panics += 1;
@@ -383,21 +401,17 @@ impl Session {
     fn resolve_and_compute(
         &mut self,
         req: &Request,
+        key: Option<u64>,
         deadline: Deadline,
     ) -> Result<Answer, MethodError> {
-        let key = match &req.input {
-            RequestInput::MiniSource(s) => content_hash(KIND_MINI, s.as_bytes()),
-            RequestInput::EdgeList(s) => content_hash(KIND_EDGES, s.as_bytes()),
-            RequestInput::Unit(k) => *k,
-            RequestInput::None => {
-                return Err((
-                    ErrorCode::InvalidRequest,
-                    format!(
-                        "method `{}` needs an input: `source`, `edges`, or `unit`",
-                        req.method.name()
-                    ),
-                ))
-            }
+        let Some(key) = key else {
+            return Err((
+                ErrorCode::InvalidRequest,
+                format!(
+                    "method `{}` needs an input: `source`, `edges`, or `unit`",
+                    req.method.name()
+                ),
+            ));
         };
         self.touched = Some(key);
         let hex = unit_hex(key);
@@ -452,7 +466,7 @@ impl Session {
             return Ok(Answer {
                 unit: hex,
                 cached: true,
-                result: result.clone(),
+                result: Arc::clone(result),
                 drop_conn,
                 register_nanos,
                 inject_nanos,
@@ -463,7 +477,8 @@ impl Session {
         let compute_started = Instant::now();
         let result = compute(unit, req.method, deadline)?;
         let compute_nanos = compute_started.elapsed().as_nanos() as u64;
-        unit.memoize(method, &result);
+        let result: Arc<str> = result.to_string().into();
+        unit.memoize(method, Arc::clone(&result));
         let bytes = unit.approx_bytes();
         let evicted = self.cache.update_bytes(key, bytes);
         pst_obs::counter!("serve_cache_eviction", evicted);
@@ -524,10 +539,13 @@ impl Session {
             .collect()
     }
 
-    /// Re-registers one snapshot entry (warm restart), restoring its
-    /// memoized results so the first repeat query answers `cached: true`.
+    /// Re-registers one snapshot entry under its content-hash `key`
+    /// (warm restart), restoring its memoized results so the first repeat
+    /// query answers `cached: true`. Each result arrives already checked
+    /// by `Json::parse`; its rendering is what a fresh compute stores.
     pub(crate) fn restore_unit(
         &mut self,
+        key: u64,
         kind: u64,
         source: &str,
         results: &[(String, Json)],
@@ -544,10 +562,9 @@ impl Session {
         };
         for (name, result) in results {
             if let Some(method) = Method::ALL.iter().copied().find(|m| m.name() == name) {
-                unit.memoize(method.name(), result);
+                unit.memoize(method.name(), result.to_string().into());
             }
         }
-        let key = content_hash(kind, source.as_bytes());
         let bytes = unit.approx_bytes();
         self.cache.insert(key, unit, bytes);
         Ok(())
@@ -1013,6 +1030,122 @@ mod tests {
         let cache = stats.get("result").and_then(|r| r.get("cache")).unwrap();
         assert_eq!(cache.get("hits"), Some(&Json::UInt(3)));
         assert_eq!(cache.get("misses"), Some(&Json::UInt(1)));
+    }
+
+    const MINI_METHODS: [Method; 6] = [
+        Method::Pst,
+        Method::ControlRegions,
+        Method::Controldep,
+        Method::Lint,
+        Method::Ssa,
+        Method::Dataflow,
+    ];
+    const EDGES: &str = "0->1\n1->2\n0->2\n2->1\n";
+    const EDGE_METHODS: [Method; 5] = [
+        Method::Pst,
+        Method::ControlRegions,
+        Method::Controldep,
+        Method::Lint,
+        Method::Canonicalize,
+    ];
+
+    /// `(field, input, methods)` for one unit of each kind.
+    fn both_kinds() -> [(&'static str, &'static str, &'static [Method]); 2] {
+        [
+            ("source", MINI, &MINI_METHODS),
+            ("edges", EDGES, &EDGE_METHODS),
+        ]
+    }
+
+    fn request(id: &str, method: Method, field: &str, input: &str) -> String {
+        format!(
+            r#"{{"id": "{id}", "method": "{}", "{field}": {}}}"#,
+            method.name(),
+            Json::Str(input.to_string())
+        )
+    }
+
+    /// The reply with its `nanos` timing zeroed.
+    fn without_nanos(line: &str) -> String {
+        const KEY: &str = ",\"nanos\":";
+        let digits = line.find(KEY).expect("an ok envelope has nanos") + KEY.len();
+        let end = digits + line[digits..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        format!("{}0{}", &line[..digits], &line[end..])
+    }
+
+    #[test]
+    fn fresh_and_memo_hit_lines_equal_the_rendered_envelope() {
+        let s = session();
+        let no_deadline = Deadline {
+            at: None,
+            budget_ms: 0,
+        };
+        for (field, input, methods) in both_kinds() {
+            let mut unit = match field {
+                "source" => register_mini(input).unwrap(),
+                _ => register_edges(input).unwrap(),
+            };
+            for &method in methods {
+                let result = compute(&mut unit, method, no_deadline).unwrap();
+                let line = request("x", method, field, input);
+                for cached in [false, true] {
+                    let reply = s.handle_line(&line);
+                    let j = parsed(&reply);
+                    let Some(Json::Str(hex)) = j.get("unit") else {
+                        panic!("no unit: {}", reply.line)
+                    };
+                    let nanos = j.get("nanos").and_then(Json::as_u64).unwrap();
+                    let expected = crate::proto::ok_response(
+                        &Json::Str("x".into()),
+                        Some(hex),
+                        Some(cached),
+                        nanos,
+                        result.clone(),
+                    );
+                    assert_eq!(
+                        reply.line,
+                        expected.to_string(),
+                        "{method:?} cached={cached}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_restart_answers_its_first_repeat_with_the_same_bytes() {
+        let dir = std::env::temp_dir().join(format!("pst-session-snap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snapshot").to_string_lossy().into_owned();
+        let _ = std::fs::remove_file(&path);
+        let config = ServeConfig {
+            snapshot_path: Some(path.clone()),
+            snapshot_every: 0,
+            ..ServeConfig::default()
+        };
+        let lines: Vec<String> = both_kinds()
+            .iter()
+            .flat_map(|&(field, input, methods)| {
+                methods.iter().map(move |&m| request("r", m, field, input))
+            })
+            .collect();
+        let before = daemon(config.clone());
+        let hot: Vec<String> = lines
+            .iter()
+            .map(|line| {
+                let _ = before.handle_line(line);
+                without_nanos(&before.handle_line(line).line)
+            })
+            .collect();
+        before.finish();
+
+        let after = daemon(config);
+        assert_eq!(after.restored_units(), 2);
+        for (line, hot) in lines.iter().zip(&hot) {
+            assert!(hot.contains("\"cached\":true"), "{hot}");
+            assert_eq!(&without_nanos(&after.handle_line(line).line), hot);
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

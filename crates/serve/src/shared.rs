@@ -34,9 +34,9 @@ use pst_obs::Histogram;
 use crate::hash::content_hash;
 use crate::metrics::{LiveMetrics, RequestOutcome};
 use crate::proto::{
-    error_response, ok_response, overloaded_response, ErrorCode, Method, Request, RequestInput,
+    error_response, ok_line, ok_response, overloaded_response, ErrorCode, Method, Request,
 };
-use crate::session::{MethodError, ServeConfig, ServeFault, Session, KIND_EDGES, KIND_MINI};
+use crate::session::{unit_key, MethodError, ServeConfig, ServeFault, Session};
 use crate::snapshot::{self, SnapshotError};
 
 /// One response line plus transport directives for the serving loop.
@@ -54,10 +54,15 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Every reply the daemon writes is built here.
+    /// Every reply the daemon writes is built here or in [`Reply::text`].
     fn of(envelope: Json) -> Reply {
+        Reply::text(envelope.to_string())
+    }
+
+    /// A reply whose envelope is already rendered.
+    fn text(line: String) -> Reply {
         Reply {
-            line: envelope.to_string(),
+            line,
             shutdown: false,
             drop_conn: false,
         }
@@ -373,8 +378,9 @@ impl SharedSession {
             ));
         }
         let _slot = InFlightGuard(&self.in_flight);
-        let shard = self.shard_of(&req.input);
-        let answer = lock(&self.shards[shard]).answer(req, started);
+        let key = unit_key(&req.input);
+        let shard = self.shard_of(key);
+        let answer = lock(&self.shards[shard]).answer(req, key, started);
         let total_nanos = started.elapsed().as_nanos() as u64;
 
         // The per-request record, filled once and folded into every
@@ -391,12 +397,12 @@ impl SharedSession {
         };
         let reply = match answer {
             Ok(answer) => {
-                let mut reply = Reply::of(ok_response(
+                let mut reply = Reply::text(ok_line(
                     &req.id,
                     Some(&answer.unit),
                     Some(answer.cached),
                     total_nanos,
-                    answer.result,
+                    &answer.result,
                 ));
                 reply.drop_conn = answer.drop_conn;
                 record = RequestOutcome {
@@ -474,16 +480,10 @@ impl SharedSession {
         }
     }
 
-    /// Routes an input to its shard: same content, same shard, always.
-    fn shard_of(&self, input: &RequestInput) -> usize {
-        let key = match input {
-            RequestInput::MiniSource(s) => content_hash(KIND_MINI, s.as_bytes()),
-            RequestInput::EdgeList(s) => content_hash(KIND_EDGES, s.as_bytes()),
-            RequestInput::Unit(k) => *k,
-            // Input-less analysis requests error inside any shard.
-            RequestInput::None => 0,
-        };
-        (key % self.shards.len() as u64) as usize
+    /// Routes a [`unit_key`] to its shard: same content, same shard,
+    /// always. Input-less analysis requests error inside any shard.
+    fn shard_of(&self, key: Option<u64>) -> usize {
+        key.map_or(0, |key| (key % self.shards.len() as u64) as usize)
     }
 
     /// Aggregated `stats` reply across all shards.
@@ -573,12 +573,13 @@ impl SharedSession {
         };
         let mut restored = 0u64;
         for entry in &entries {
-            let shard = self.shard_of(&RequestInput::Unit(content_hash(
+            let key = content_hash(entry.kind, entry.source.as_bytes());
+            let outcome = lock(&self.shards[self.shard_of(Some(key))]).restore_unit(
+                key,
                 entry.kind,
-                entry.source.as_bytes(),
-            )));
-            let outcome =
-                lock(&self.shards[shard]).restore_unit(entry.kind, &entry.source, &entry.results);
+                &entry.source,
+                &entry.results,
+            );
             match outcome {
                 Ok(()) => restored += 1,
                 Err((_, message)) => {

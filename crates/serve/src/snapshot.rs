@@ -10,12 +10,15 @@
 //! ```
 //!
 //! Entries carry the registered *source text* plus the memoized
-//! per-method result JSON — not the parsed artifacts. Restoring replays
-//! each entry through the normal registration path, so a snapshot can
-//! never smuggle in artifacts the current binary wouldn't compute; the
-//! memos are what make the first post-restart repeat query answer
-//! `cached: true`. Entries are ordered least-recently-used first so the
-//! restored cache has today's eviction order.
+//! per-method result JSON — not the parsed artifacts. Export writes each
+//! memo's stored text verbatim; loading parses the whole entry, so every
+//! memo is checked by `Json::parse` before its rendering is kept.
+//! Restoring replays each entry through the normal registration path,
+//! so a snapshot can never smuggle in artifacts the current binary
+//! wouldn't compute; the memos are what make the first post-restart
+//! repeat query answer `cached: true`. Entries are ordered
+//! least-recently-used first so the restored cache has today's eviction
+//! order.
 //!
 //! Writes are crash-only: the whole file is rendered, written to a
 //! `<path>.tmp.<suffix>` sibling, then atomically renamed over `<path>`.
@@ -25,12 +28,12 @@
 //! logs the reason, counts `serve_snapshot_load_failed`, and serves with
 //! an empty cache. A snapshot is an optimization, never a dependency.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use pst_obs::json::Json;
+use pst_obs::json::{Escaped, Json};
 
 use crate::hash::{content_hash, unit_hex};
 use crate::session::{ExportedUnit, KIND_EDGES, KIND_MINI};
@@ -101,17 +104,19 @@ fn render(entries: &[ExportedUnit]) -> String {
             continue; // unknown kinds are dropped, not mis-tagged
         };
         persisted += 1;
-        body.push(
-            Json::obj([
-                ("kind", Json::Str(kind.to_string())),
-                ("source", Json::Str(source.clone())),
-                (
-                    "results",
-                    Json::obj(results.iter().map(|(m, r)| (*m, r.clone()))),
-                ),
-            ])
-            .to_string(),
+        // The same bytes `Json::obj([kind, source, results])` renders,
+        // with each memo's stored text written as it is.
+        let mut line = format!(
+            "{{\"kind\":{},\"source\":{},\"results\":{{",
+            Escaped(kind),
+            Escaped(source)
         );
+        for (i, (method, result)) in results.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(line, "{sep}{}:{result}", Escaped(method));
+        }
+        line.push_str("}}");
+        body.push(line);
     }
     lines.push(
         Json::obj([
@@ -253,7 +258,10 @@ mod tests {
             (
                 KIND_MINI,
                 "fn f(n) { return n; }".to_string(),
-                vec![("pst", Json::obj([("ok", Json::Bool(true))]))],
+                vec![(
+                    "pst",
+                    Json::obj([("ok", Json::Bool(true))]).to_string().into(),
+                )],
             ),
             (KIND_EDGES, "0->1\n".to_string(), vec![]),
         ]

@@ -9,7 +9,7 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== clippy =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== test =="
 cargo test -q
